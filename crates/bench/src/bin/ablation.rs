@@ -9,7 +9,6 @@ use tacker_bench::{eval_config, rtx2080ti};
 use tacker_fuser::{enumerate_configs, fuse_flexible, FusionConfig, PackPriority};
 use tacker_kernel::SimTime;
 use tacker_predictor::{FusedPairModel, LinReg};
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -38,8 +37,7 @@ fn main() {
         let run = |cfg: FusionConfig| -> Option<SimTime> {
             let fused = fuse_flexible(&tc.def, &cd.def, cfg, &spec.sm).ok()?;
             let launch = fused.launch(tc.grid, cd.grid, &tc.bindings, &cd.bindings);
-            let plan = ExecutablePlan::from_launch(&spec, &launch).ok()?;
-            Some(device.run_plan(&plan).ok()?.duration)
+            Some(device.run_launch(&launch).ok()?.duration)
         };
         let naive = run(FusionConfig::ONE_TO_ONE).expect("1:1 runs");
         let (best_cfg, best) =
@@ -67,8 +65,7 @@ fn main() {
             let cfg = enumerate_configs(&tc.def, &cd.def, &spec.sm, p)[0];
             let fused = fuse_flexible(&tc.def, &cd.def, cfg, &spec.sm).expect("fuse");
             let launch = fused.launch(tc.grid, cd.grid, &tc.bindings, &cd.bindings);
-            let plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
-            device.run_plan(&plan).expect("run").duration
+            device.run_launch(&launch).expect("run").duration
         };
         let tf = first(PackPriority::TensorFirst);
         let cf = first(PackPriority::CudaFirst);
@@ -99,8 +96,7 @@ fn main() {
         while r <= 2.0 {
             let cd_grid = ((cd.grid as f64 * r * x_tc.ratio(t_cd_unit)).round() as u64).max(1);
             let launch = fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings);
-            let plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
-            let t = device.run_plan(&plan).expect("run").duration;
+            let t = device.run_launch(&launch).expect("run").duration;
             sweep.push((r, t.ratio(x_tc)));
             r += 0.1;
         }
@@ -143,8 +139,7 @@ fn main() {
         let sample_at = |r: f64| -> (f64, f64) {
             let cd_grid = ((cd.grid as f64 * r * x_tc.ratio(t_cd_unit)).round() as u64).max(1);
             let launch = fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings);
-            let plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
-            let t = device.run_plan(&plan).expect("run").duration;
+            let t = device.run_launch(&launch).expect("run").duration;
             (r, t.ratio(x_tc))
         };
         let four: Vec<(f64, f64)> = [0.1, 0.2, 1.8, 1.9].iter().map(|&r| sample_at(r)).collect();

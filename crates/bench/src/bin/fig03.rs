@@ -7,7 +7,6 @@
 
 use tacker_bench::rtx2080ti;
 use tacker_fuser::fuse_direct;
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -46,8 +45,7 @@ fn main() {
         match fuse_direct(&gemm_def, &cd.def, gemm_wk.grid, cd.grid, &spec.sm) {
             Ok(fused) => {
                 let launch = fused.launch(&gemm_wk.bindings, &cd.bindings);
-                let plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
-                let t_fused = device.run_plan(&plan).expect("fused run").duration;
+                let t_fused = device.run_launch(&launch).expect("fused run").duration;
                 // Normalize to the mean solo duration, as in the figure.
                 let norm =
                     2.0 * t_fused.as_nanos() as f64 / (t_gemm.as_nanos() + t_cd.as_nanos()) as f64;

@@ -10,7 +10,6 @@ use tacker::library::FusionLibrary;
 use tacker::profile::KernelProfiler;
 use tacker_bench::rtx2080ti;
 use tacker_predictor::FusedPairModel;
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -39,8 +38,7 @@ fn main() {
             let e = entry.lock().expect("entry");
             e.fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings)
         };
-        let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
-        device.run_plan(&plan).expect("fused").duration
+        device.run_launch(&launch).expect("fused").duration
     });
     let mut points = Vec::new();
     for (&r, t) in ratios.iter().zip(&durations) {

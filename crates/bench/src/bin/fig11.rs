@@ -9,7 +9,6 @@ use tacker::library::FusionLibrary;
 use tacker::profile::KernelProfiler;
 use tacker_bench::rtx2080ti;
 use tacker_predictor::LinReg;
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -40,8 +39,7 @@ fn main() {
                     e.fused
                         .launch(tc.grid, cd_grid, &tc.bindings, &cd0.bindings)
                 };
-                let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
-                let t = device.run_plan(&plan).expect("fused").duration;
+                let t = device.run_launch(&launch).expect("fused").duration;
                 (x_tc.as_micros_f64(), t.as_micros_f64())
             });
         for (x_tc, t) in &samples {

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use tacker::library::FusionLibrary;
 use tacker::profile::KernelProfiler;
 use tacker_bench::rtx2080ti;
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -49,8 +48,7 @@ fn main() {
                     profiler.predict(&cd_scaled).expect("cd pred"),
                 )
             };
-            let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
-            let actual = device.run_plan(&plan).expect("fused").duration;
+            let actual = device.run_launch(&launch).expect("fused").duration;
             entry
                 .lock()
                 .expect("entry")
@@ -70,8 +68,7 @@ fn main() {
                     profiler.predict(&cd_scaled).expect("cd pred"),
                 )
             };
-            let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
-            let actual = device.run_plan(&plan).expect("fused").duration;
+            let actual = device.run_launch(&launch).expect("fused").duration;
             held.push((x_cd.ratio(x_tc), actual.ratio(x_tc)));
         }
         let e = entry.lock().expect("entry");

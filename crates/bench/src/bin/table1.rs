@@ -8,7 +8,6 @@
 use std::sync::Arc;
 use tacker_bench::rtx2080ti;
 use tacker_fuser::{fuse_flexible, FusionConfig};
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::microbench::{kc, kt, micro_launch};
 
 fn main() {
@@ -37,8 +36,7 @@ fn main() {
     let wk_t = micro_launch(&kt_def, blocks_per_sm, iters);
     let wk_c = micro_launch(&kc_def, blocks_per_sm, iters);
     let launch = fused_a.launch(wk_t.grid, wk_c.grid, &wk_t.bindings, &wk_c.bindings);
-    let plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
-    let t_a = device.run_plan(&plan).expect("bench-a").duration;
+    let t_a = device.run_launch(&launch).expect("bench-a").duration;
 
     // Bench-B: two Kt back to back (same pipeline — fusing buys nothing,
     // measure sequential execution of twice the work).

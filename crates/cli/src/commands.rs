@@ -506,17 +506,24 @@ fn cluster(flags: &Flags) -> Result<(), String> {
                 rows[0].1.query_count()
             );
             println!(
-                "{:<18} {:>9} {:>9} {:>11} {:>6} {:>10}",
-                "policy", "mean(ms)", "p99(ms)", "violations", "skew", "makespan"
+                "{:<18} {:>9} {:>9} {:>11} {:>11} {:>10} {:>10}",
+                "policy",
+                "mean(ms)",
+                "p99(ms)",
+                "violations",
+                "share-skew",
+                "burstiness",
+                "makespan"
             );
             for (policy, report) in &rows {
                 println!(
-                    "{:<18} {:>9.2} {:>9.2} {:>4} ({:>4.1}%) {:>6.2} {:>8.1}ms",
+                    "{:<18} {:>9.2} {:>9.2} {:>4} ({:>4.1}%) {:>11.2} {:>10.2} {:>8.1}ms",
                     policy.name(),
                     ms(report.mean_latency()),
                     ms(report.p99_latency()),
                     report.qos_violations(),
                     100.0 * report.violation_rate(),
+                    report.query_share_skew(),
                     report.outstanding_skew(),
                     report.wall.as_millis_f64()
                 );
@@ -536,12 +543,16 @@ fn cluster(flags: &Flags) -> Result<(), String> {
         report.device_policy
     );
     println!(
-        "  queries {} | mean {:.2} ms | p99 {:.2} ms | violations {} ({:.1}%) | skew {:.2}",
+        concat!(
+            "  queries {} | mean {:.2} ms | p99 {:.2} ms | violations {} ({:.1}%)",
+            " | share skew {:.2} | outstanding burstiness {:.2}"
+        ),
         report.query_count(),
         ms(report.mean_latency()),
         ms(report.p99_latency()),
         report.qos_violations(),
         100.0 * report.violation_rate(),
+        report.query_share_skew(),
         report.outstanding_skew()
     );
     println!(
@@ -826,7 +837,8 @@ fn fleet_json(r: &FleetReport) -> String {
             "\"devices\":{},\"queries\":{},\"mean_latency_ms\":{:.3},",
             "\"p99_latency_ms\":{:.3},\"qos_violations\":{},",
             "\"violation_rate\":{:.4},\"dispatch_latency_ms\":{:.3},",
-            "\"outstanding_skew\":{:.3},\"makespan_ms\":{:.3},",
+            "\"query_share_skew\":{:.3},\"outstanding_skew\":{:.3},",
+            "\"makespan_ms\":{:.3},",
             "\"sim_queries_per_sec\":{:.1},\"per_device\":["
         ),
         r.dispatch_policy,
@@ -838,6 +850,7 @@ fn fleet_json(r: &FleetReport) -> String {
         r.qos_violations(),
         r.violation_rate(),
         r.dispatch_latency.as_millis_f64(),
+        r.query_share_skew(),
         r.outstanding_skew(),
         r.wall.as_millis_f64(),
         r.sim_queries_per_sec()

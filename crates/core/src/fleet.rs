@@ -308,11 +308,29 @@ impl FleetReport {
             .map(|t| t + self.dispatch_latency)
     }
 
-    /// Load-balance skew: the peak over the mean dispatcher-model
-    /// outstanding (1.0 = perfectly level; larger = burstier imbalance).
+    /// Outstanding burstiness: the peak over the mean dispatcher-model
+    /// outstanding, pooled over every dispatch event (1.0 = the queue
+    /// depth never rose above its mean; larger = burstier arrivals).
+    /// This is *not* a load-balance measure: a run that routes every
+    /// query to one device can still read 1.0. See
+    /// [`FleetReport::query_share_skew`] for how evenly queries spread.
     pub fn outstanding_skew(&self) -> f64 {
         if self.outstanding_mean > 0.0 {
             self.outstanding_max as f64 / self.outstanding_mean
+        } else {
+            1.0
+        }
+    }
+
+    /// Load-balance skew: the largest per-device share of routed queries
+    /// over the mean share (1.0 = every device got the same number;
+    /// `n` = all `n` devices' queries went to one). 1.0 when nothing
+    /// was routed.
+    pub fn query_share_skew(&self) -> f64 {
+        let total: usize = self.devices.iter().map(|d| d.queries).sum();
+        let max = self.devices.iter().map(|d| d.queries).max().unwrap_or(0);
+        if total > 0 {
+            (max * self.devices.len()) as f64 / total as f64
         } else {
             1.0
         }
@@ -1019,6 +1037,7 @@ mod tests {
         assert_eq!(a, 12);
         assert_eq!(b, 12);
         assert_eq!(report.query_count(), 24);
+        assert_eq!(report.query_share_skew(), 1.0);
         // Both device reports exist and the fleet wall is their max.
         let walls: Vec<SimTime> = report
             .devices
@@ -1041,6 +1060,9 @@ mod tests {
         assert_eq!(report.devices[1].queries, 0);
         assert!(report.devices[1].report.is_none());
         assert_eq!(report.devices[1].utilization(), 0.0);
+        // Every query on one of two devices: twice the mean share,
+        // whatever the outstanding burstiness reads.
+        assert_eq!(report.query_share_skew(), 2.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rand::{RngExt, SeedableRng};
 use tacker_kernel::{SimTime, StableHasher};
 use tacker_sim::core::{Event, EventHandler, Schedule, Simulation, SimulationContext};
 use tacker_sim::queue::{HeapQueue, SimQueue};
-use tacker_sim::{scale_run, Device, ExecutablePlan, TimelineRecorder};
+use tacker_sim::{scale_run, Device, TimelineRecorder};
 use tacker_trace::timeseries::{SpanKind, WindowRow, WindowSeries};
 use tacker_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink};
 use tacker_workloads::{BeApp, LcService, WorkloadKernel};
@@ -1199,7 +1199,6 @@ pub(crate) fn run_engine(
                     predicted,
                     ..
                 } => {
-                    let plan = ExecutablePlan::from_launch(device.spec(), &launch)?;
                     // LC kernel completed via fusion.
                     let q = active.front_mut().expect("fusion implies an active query");
                     let si = q.service;
@@ -1207,7 +1206,7 @@ pub(crate) fn run_engine(
                         .pending
                         .pop_front()
                         .expect("fusion implies a pending kernel");
-                    let mut run = device.run_plan(&plan)?;
+                    let mut run = device.run_launch(&launch)?;
                     launch_seq += 1;
                     // A mispredicted LC kernel is just as slow inside a fused
                     // launch as outside it.

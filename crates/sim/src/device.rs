@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::KernelLaunch;
+use tacker_kernel::{KernelKind, KernelLaunch};
 
 use crate::engine::simulate;
 use crate::error::SimError;
@@ -77,16 +77,27 @@ impl Device {
         &self.shards[(fp as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// Executes a plain kernel launch (lower → plan → simulate), memoized.
-    /// The returned handle shares the cached run — a repeat launch costs
-    /// a refcount bump, not a copy.
+    /// Executes a plain kernel launch (probe → lower → simulate), memoized.
+    ///
+    /// The cache is probed first, keyed by `launch.fingerprint()`: a warm
+    /// launch costs one fingerprint hash and one shard lookup, and returns
+    /// the shared cached run (a refcount bump, no lowering, no copy).
+    /// Only a miss lowers the launch into a plan and simulates it. A
+    /// fingerprint is cached only after its launch lowered and simulated
+    /// without error, so skipping the lowering on a hit hides nothing.
     ///
     /// # Errors
     ///
-    /// Propagates plan construction and simulation errors.
+    /// Propagates plan construction and simulation errors. Failures are
+    /// not cached, so a failing launch fails the same way on every call.
     pub fn run_launch(&self, launch: &KernelLaunch) -> Result<Arc<KernelRun>, SimError> {
+        let fp = launch.fingerprint();
+        let fused = launch.def.kind() == KernelKind::Fused;
+        if let Some(hit) = self.probe(fp, fused) {
+            return Ok(hit);
+        }
         let plan = ExecutablePlan::from_launch(&self.spec, launch)?;
-        self.run_plan(&plan)
+        self.simulate_and_insert(&plan)
     }
 
     /// Executes a prepared plan, memoized when the plan has a fingerprint.
@@ -96,15 +107,27 @@ impl Device {
     ///
     /// Propagates simulation errors. Failures are not cached.
     pub fn run_plan(&self, plan: &ExecutablePlan) -> Result<Arc<KernelRun>, SimError> {
-        if let Some(fp) = plan.fingerprint {
-            if let Some(hit) = self.shard(fp).lock().expect("cache poisoned").get(&fp) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if plan.fused {
-                    self.fused_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(Arc::clone(hit));
-            }
+        if let Some(hit) = plan.fingerprint.and_then(|fp| self.probe(fp, plan.fused)) {
+            return Ok(hit);
         }
+        self.simulate_and_insert(plan)
+    }
+
+    /// Looks `fp` up in its shard, counting a hit (plain and, for fused
+    /// kernels, fused) when it is there. A miss is counted by
+    /// [`Device::simulate_and_insert`] once the run exists.
+    fn probe(&self, fp: u64, fused: bool) -> Option<Arc<KernelRun>> {
+        let hit = Arc::clone(self.shard(fp).lock().expect("cache poisoned").get(&fp)?);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if fused {
+            self.fused_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(hit)
+    }
+
+    /// Simulates a plan that missed the cache, counts the miss and stores
+    /// the run under the plan's fingerprint (when it has one).
+    fn simulate_and_insert(&self, plan: &ExecutablePlan) -> Result<Arc<KernelRun>, SimError> {
         let run = Arc::new(simulate(&self.spec, plan)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if plan.fused {
@@ -274,14 +297,87 @@ mod tests {
     use tacker_kernel::ast::{Expr, Stmt};
     use tacker_kernel::{Bindings, Dim3, KernelDef, KernelKind, ResourceUsage};
 
-    fn launch(blocks: u64) -> KernelLaunch {
-        let def = KernelDef::builder("d", KernelKind::Cuda)
+    fn launch_of(kind: KernelKind, resources: ResourceUsage, blocks: u64) -> KernelLaunch {
+        let def = KernelDef::builder("d", kind)
             .block_dim(Dim3::x(128))
-            .resources(ResourceUsage::new(32, 0))
+            .resources(resources)
             .body(vec![Stmt::compute_cd(Expr::lit(100), "fma")])
             .build()
             .unwrap();
         KernelLaunch::new(Arc::new(def), blocks, Bindings::new())
+    }
+
+    fn launch(blocks: u64) -> KernelLaunch {
+        launch_of(KernelKind::Cuda, ResourceUsage::new(32, 0), blocks)
+    }
+
+    fn plan_of(dev: &Device, l: &KernelLaunch) -> ExecutablePlan {
+        ExecutablePlan::from_launch(dev.spec(), l).unwrap()
+    }
+
+    #[test]
+    fn run_launch_and_run_plan_share_one_entry() {
+        let l = launch(68);
+        // Launch first, then the plan built from the same launch.
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let a = dev.run_launch(&l).unwrap();
+        let b = dev.run_plan(&plan_of(&dev, &l)).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "plan lookup must hit the launch's entry"
+        );
+        assert_eq!(dev.cache_stats(), (1, 1));
+        assert_eq!(dev.cache_len(), 1);
+        // And the reverse order.
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let a = dev.run_plan(&plan_of(&dev, &l)).unwrap();
+        let b = dev.run_launch(&l).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "launch probe must hit the plan's entry"
+        );
+        assert_eq!(dev.cache_stats(), (1, 1));
+        assert_eq!(dev.cache_len(), 1);
+    }
+
+    #[test]
+    fn fused_accounting_matches_between_launch_and_plan() {
+        let fused = launch_of(KernelKind::Fused, ResourceUsage::new(32, 0), 68);
+        let plain = launch(68);
+        let via_launch = Device::new(GpuSpec::rtx2080ti());
+        let via_plan = Device::new(GpuSpec::rtx2080ti());
+        for _ in 0..3 {
+            via_launch.run_launch(&fused).unwrap();
+            via_launch.run_launch(&plain).unwrap();
+            via_plan.run_plan(&plan_of(&via_plan, &fused)).unwrap();
+            via_plan.run_plan(&plan_of(&via_plan, &plain)).unwrap();
+        }
+        // Fused counters see only the fused launch: 1 miss, then hits.
+        assert_eq!(via_launch.fused_cache_stats(), (2, 1));
+        assert_eq!(via_launch.cache_stats(), (4, 2));
+        assert_eq!(via_launch.fused_cache_stats(), via_plan.fused_cache_stats());
+        assert_eq!(via_launch.cache_stats(), via_plan.cache_stats());
+    }
+
+    #[test]
+    fn launches_that_cannot_lower_fail_identically_and_are_never_cached() {
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let empty_grid = launch(0);
+        // 1 MiB of shared memory per block fits on no SM.
+        let too_big = launch_of(KernelKind::Cuda, ResourceUsage::new(32, 1 << 20), 68);
+        for l in [&empty_grid, &too_big] {
+            let first = dev.run_launch(l).unwrap_err();
+            assert!(
+                matches!(first, SimError::LaunchFailure { .. }),
+                "unexpected error {first:?}"
+            );
+            for _ in 0..3 {
+                assert_eq!(dev.run_launch(l).unwrap_err(), first);
+            }
+        }
+        assert_eq!(dev.cache_stats(), (0, 0));
+        assert_eq!(dev.fused_cache_stats(), (0, 0));
+        assert_eq!(dev.cache_len(), 0);
     }
 
     #[test]

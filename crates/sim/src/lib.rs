@@ -19,8 +19,10 @@
 //!   kept inside one branch of a fused kernel deadlocks, exactly as §V-D
 //!   warns, while rewritten `bar.sync id, cnt` barriers work.
 //!
-//! The top-level entry points are [`Device::run_plan`] for executing a single
-//! [`ExecutablePlan`] (with memoization) and [`timeline::TimelineRecorder`]
+//! The top-level entry points are [`Device::run_launch`] for executing a
+//! kernel launch (memoized; a warm launch is a cache probe, no lowering),
+//! [`Device::run_plan`] for executing a prepared [`ExecutablePlan`] and
+//! [`timeline::TimelineRecorder`]
 //! for building device-level activity traces (Figs. 1, 2, 15).
 
 pub(crate) mod compile;

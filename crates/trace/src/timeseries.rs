@@ -81,28 +81,6 @@ pub struct WindowRow {
 }
 
 impl WindowRow {
-    fn empty(index: u64, start: SimTime, end: SimTime) -> Self {
-        WindowRow {
-            index,
-            start,
-            end,
-            busy: SimTime::ZERO,
-            tc_busy: SimTime::ZERO,
-            cd_busy: SimTime::ZERO,
-            arrivals: 0,
-            completions: 0,
-            violations: 0,
-            lc_launches: 0,
-            be_launches: 0,
-            fused_launches: 0,
-            fused_cache_hits: 0,
-            fused_cache_misses: 0,
-            queue_depth_max: 0,
-            headroom_min: None,
-            guard_level: None,
-        }
-    }
-
     /// Whether anything at all was recorded in this window.
     pub fn has_activity(&self) -> bool {
         self.busy > SimTime::ZERO
@@ -198,22 +176,77 @@ impl WindowRow {
     }
 }
 
+/// The in-progress window's accumulators: the dense integers (and two
+/// float pipeline accumulators) every feed method bumps. They become a
+/// [`WindowRow`] only when the window closes, so the per-launch feed never
+/// touches the row's optional fields or its window bounds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Acc {
+    busy: u64,
+    /// Pipeline busy time, accumulated as f64 nanoseconds — per-span
+    /// float↔integer round trips are measurable on the serving hot path.
+    tc: f64,
+    cd: f64,
+    /// Launches by [`SpanKind`] (`kind as usize`).
+    launches: [u64; 3],
+    arrivals: u64,
+    completions: u64,
+    violations: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    queue_depth_max: u64,
+    headroom_min: Option<SimTime>,
+}
+
+impl Acc {
+    fn row(
+        &self,
+        index: u64,
+        start: SimTime,
+        end: SimTime,
+        guard_level: Option<&'static str>,
+    ) -> WindowRow {
+        WindowRow {
+            index,
+            start,
+            end,
+            busy: SimTime::from_nanos(self.busy),
+            tc_busy: SimTime::from_nanos(self.tc as u64),
+            cd_busy: SimTime::from_nanos(self.cd as u64),
+            arrivals: self.arrivals,
+            completions: self.completions,
+            violations: self.violations,
+            lc_launches: self.launches[SpanKind::Lc as usize],
+            be_launches: self.launches[SpanKind::Be as usize],
+            fused_launches: self.launches[SpanKind::Fused as usize],
+            fused_cache_hits: self.cache_hits,
+            fused_cache_misses: self.cache_misses,
+            queue_depth_max: self.queue_depth_max,
+            headroom_min: self.headroom_min,
+            guard_level,
+        }
+    }
+}
+
 /// A stream slicer: feeds of spans and instants come in simulated-time
 /// order; closed non-empty [`WindowRow`]s come out through the emit
 /// callback passed to each feed method.
+///
+/// The feed methods are the serving loop's per-launch telemetry cost, so
+/// each is a compare against the current window's end plus a few
+/// accumulator bumps, inlined at the call site; crossing a window
+/// boundary takes an out-of-line cold path.
 #[derive(Debug)]
 pub struct WindowSeries {
     width: SimTime,
     rows: Vec<WindowRow>,
-    cur: WindowRow,
-    /// Pipeline busy time of the in-progress window, accumulated as f64
-    /// nanoseconds and materialized into the row only when the window
-    /// closes — per-span float↔integer round trips are measurable on the
-    /// serving hot path.
-    tc_acc: f64,
-    cd_acc: f64,
-    /// Guard level carried across window boundaries (the level persists
-    /// until the guard steps again).
+    /// Index and bounds `[start, end)` of the in-progress window.
+    index: u64,
+    start: SimTime,
+    end: SimTime,
+    acc: Acc,
+    /// Guard level in effect; it persists across window boundaries until
+    /// the guard steps again, and is stamped on each row as it closes.
     guard_level: Option<&'static str>,
 }
 
@@ -224,9 +257,10 @@ impl WindowSeries {
         WindowSeries {
             width,
             rows: Vec::with_capacity(128),
-            cur: WindowRow::empty(0, SimTime::ZERO, width),
-            tc_acc: 0.0,
-            cd_acc: 0.0,
+            index: 0,
+            start: SimTime::ZERO,
+            end: width,
+            acc: Acc::default(),
             guard_level: None,
         }
     }
@@ -236,65 +270,51 @@ impl WindowSeries {
         self.width
     }
 
-    fn window_index(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.width.as_nanos()
-    }
-
-    fn open(&mut self, index: u64) {
-        let start = SimTime::from_nanos(index * self.width.as_nanos());
-        self.cur = WindowRow::empty(index, start, start + self.width);
-        self.cur.guard_level = self.guard_level;
-    }
-
-    /// Materializes the f64 pipeline-busy accumulators into the current
-    /// row and resets them.
-    fn settle_busy(&mut self) {
-        self.cur.tc_busy = SimTime::from_nanos(self.tc_acc as u64);
-        self.cur.cd_busy = SimTime::from_nanos(self.cd_acc as u64);
-        self.tc_acc = 0.0;
-        self.cd_acc = 0.0;
-    }
-
+    /// Emits and collects the in-progress window if anything landed in
+    /// it, and resets the accumulators.
     fn close(&mut self, emit: &mut impl FnMut(&WindowRow)) {
-        // Swap the fresh row in and move the closed one out — a clone here
-        // would bill every window rotation for a redundant 160-byte copy.
-        self.settle_busy();
-        let next = self.cur.index + 1;
-        let start = self.cur.end;
-        let mut fresh = WindowRow::empty(next, start, start + self.width);
-        fresh.guard_level = self.guard_level;
-        let row = std::mem::replace(&mut self.cur, fresh);
+        let row = self
+            .acc
+            .row(self.index, self.start, self.end, self.guard_level);
+        self.acc = Acc::default();
         if row.has_activity() {
-            emit(&row);
             self.rows.push(row);
+            emit(self.rows.last().expect("row just pushed"));
         }
+    }
+
+    /// Makes window `index` the in-progress one.
+    fn open(&mut self, index: u64) {
+        self.index = index;
+        self.start = SimTime::from_nanos(index * self.width.as_nanos());
+        self.end = self.start + self.width;
+    }
+
+    /// Closes the in-progress window and jumps straight to the one
+    /// holding `t` (`t` at or past the current end): the windows in
+    /// between saw nothing.
+    #[cold]
+    #[inline(never)]
+    fn advance(&mut self, t: SimTime, emit: &mut impl FnMut(&WindowRow)) {
+        self.close(emit);
+        self.open(t.as_nanos() / self.width.as_nanos());
     }
 
     /// Advances the series so `t` falls inside the current window,
     /// closing (and emitting) every window that ends at or before `t`.
     /// All-empty windows between the current one and `t`'s are skipped
     /// without a row.
+    #[inline(always)]
     pub fn seek(&mut self, t: SimTime, emit: &mut impl FnMut(&WindowRow)) {
-        // Hot path: the instant falls in the current window — one compare,
-        // no division. The serving engine seeks several times per launch.
-        if t < self.cur.end {
-            return;
-        }
-        let target = self.window_index(t);
-        if target <= self.cur.index {
-            return;
-        }
-        // Close the in-progress window, then jump straight to the target:
-        // the windows in between saw nothing.
-        self.close(emit);
-        if self.cur.index < target {
-            self.open(target);
+        if t >= self.end {
+            self.advance(t, emit);
         }
     }
 
     /// Records one launch span `[start, end)` with the given pipeline
     /// utilizations, apportioning busy time across every window the span
     /// overlaps and counting the launch in the window containing `start`.
+    #[inline(always)]
     pub fn on_span(
         &mut self,
         start: SimTime,
@@ -305,53 +325,73 @@ impl WindowSeries {
         emit: &mut impl FnMut(&WindowRow),
     ) {
         self.seek(start, emit);
-        match kind {
-            SpanKind::Lc => self.cur.lc_launches += 1,
-            SpanKind::Be => self.cur.be_launches += 1,
-            SpanKind::Fused => self.cur.fused_launches += 1,
-        }
-        // One launch per engine iteration lands here — stay off the
-        // checked/rounding SimTime arithmetic in the segment loop.
+        self.acc.launches[kind as usize] += 1;
         let tc_util = tc_util.clamp(0.0, 1.0);
         let cd_util = cd_util.clamp(0.0, 1.0);
-        let mut s = start.max(self.cur.start);
-        while s < end {
-            let seg_end = end.min(self.cur.end);
-            let d = seg_end.saturating_sub(s);
-            self.cur.busy += d;
-            let d_ns = d.as_nanos() as f64;
-            self.tc_acc += d_ns * tc_util;
-            self.cd_acc += d_ns * cd_util;
-            if seg_end < end {
-                self.close(emit);
-                s = self.cur.start;
-            } else {
+        if end > self.end {
+            self.span_across(start, end, tc_util, cd_util, emit);
+            return;
+        }
+        // The common case: the span ends inside the current window.
+        let s = start.max(self.start);
+        if s < end {
+            self.add_busy((end - s).as_nanos(), tc_util, cd_util);
+        }
+    }
+
+    #[inline(always)]
+    fn add_busy(&mut self, d: u64, tc_util: f64, cd_util: f64) {
+        self.acc.busy += d;
+        let d_ns = d as f64;
+        self.acc.tc += d_ns * tc_util;
+        self.acc.cd += d_ns * cd_util;
+    }
+
+    /// The rest of [`WindowSeries::on_span`] for a span that runs past
+    /// the current window: one segment per window it overlaps.
+    #[cold]
+    #[inline(never)]
+    fn span_across(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        tc_util: f64,
+        cd_util: f64,
+        emit: &mut impl FnMut(&WindowRow),
+    ) {
+        let mut s = start.max(self.start);
+        loop {
+            let seg_end = end.min(self.end);
+            self.add_busy((seg_end - s).as_nanos(), tc_util, cd_util);
+            if seg_end == end {
                 break;
             }
+            s = self.end;
+            self.close(emit);
+            self.open(self.index + 1);
         }
     }
 
     /// Records `n` query admissions at instant `t`.
     pub fn on_arrivals(&mut self, t: SimTime, n: u64, emit: &mut impl FnMut(&WindowRow)) {
         self.seek(t, emit);
-        self.cur.arrivals += n;
+        self.acc.arrivals += n;
     }
 
     /// Records one query completion at instant `t`.
     pub fn on_completion(&mut self, t: SimTime, violated: bool, emit: &mut impl FnMut(&WindowRow)) {
         self.seek(t, emit);
-        self.cur.completions += 1;
-        if violated {
-            self.cur.violations += 1;
-        }
+        self.acc.completions += 1;
+        self.acc.violations += u64::from(violated);
     }
 
     /// Records the queue depth at an admission in the current window.
     pub fn on_queue_depth(&mut self, depth: u64) {
-        self.cur.queue_depth_max = self.cur.queue_depth_max.max(depth);
+        self.acc.queue_depth_max = self.acc.queue_depth_max.max(depth);
     }
 
     /// Records the Equation 8/9 QoS headroom at a scheduling point.
+    #[inline(always)]
     pub fn observe_headroom(
         &mut self,
         t: SimTime,
@@ -359,34 +399,25 @@ impl WindowSeries {
         emit: &mut impl FnMut(&WindowRow),
     ) {
         self.seek(t, emit);
-        self.cur.headroom_min = Some(match self.cur.headroom_min {
-            Some(h) => h.min(headroom),
-            None => headroom,
-        });
+        self.acc.headroom_min = Some(self.acc.headroom_min.map_or(headroom, |h| h.min(headroom)));
     }
 
     /// Records the guard ladder level in effect (sticky across windows).
     pub fn set_guard(&mut self, level: Option<&'static str>) {
         self.guard_level = level;
-        self.cur.guard_level = level;
     }
 
     /// Records fused-plan cache hit/miss deltas accrued since the last
     /// call, attributed to the current window.
     pub fn on_cache(&mut self, hits: u64, misses: u64) {
-        self.cur.fused_cache_hits += hits;
-        self.cur.fused_cache_misses += misses;
+        self.acc.cache_hits += hits;
+        self.acc.cache_misses += misses;
     }
 
     /// Closes the final in-progress window (if non-empty) and returns
     /// every collected row. Final rows keep the uniform window width.
     pub fn finish(mut self, emit: &mut impl FnMut(&WindowRow)) -> Vec<WindowRow> {
-        self.settle_busy();
-        if self.cur.has_activity() {
-            emit(&self.cur);
-            let row = self.cur.clone();
-            self.rows.push(row);
-        }
+        self.close(emit);
         self.rows
     }
 }
@@ -497,5 +528,28 @@ mod tests {
             .map(|r| r.lc_launches + r.be_launches + r.fused_launches)
             .sum();
         assert_eq!(launches, 40);
+    }
+
+    #[test]
+    fn long_and_backdated_spans_apportion_exactly() {
+        let mut ws = WindowSeries::new(us(100));
+        let mut emitted = Vec::new();
+        let mut emit = |r: &WindowRow| emitted.push(r.clone());
+        // 350us span from 20us: 80 + 100 + 100 + 70 over windows 0..=3.
+        ws.on_span(us(20), us(370), 1.0, 0.5, SpanKind::Be, &mut emit);
+        // An arrival moves the series into window 4; a span that started
+        // back in window 3 only counts its part inside the current window.
+        ws.on_arrivals(us(410), 1, &mut emit);
+        ws.on_span(us(380), us(430), 0.0, 1.0, SpanKind::Lc, &mut emit);
+        let rows = ws.finish(&mut emit);
+        let busy: Vec<u64> = rows.iter().map(|r| r.busy.as_nanos() / 1_000).collect();
+        assert_eq!(busy, [80, 100, 100, 70, 30]);
+        assert_eq!(rows[1].tc_busy, us(100));
+        assert_eq!(rows[1].cd_busy, us(50));
+        assert_eq!(rows[4].cd_busy, us(30));
+        assert_eq!(rows[0].be_launches, 1);
+        assert_eq!(rows[4].lc_launches, 1);
+        assert_eq!(rows[4].arrivals, 1);
+        assert_eq!(emitted, rows);
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use tacker::library::FusionLibrary;
 use tacker::profile::KernelProfiler;
-use tacker_sim::{Device, ExecutablePlan, GpuSpec};
+use tacker_sim::{Device, GpuSpec};
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -46,8 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("chosen fusion ratio: {config}");
 
     // 4. Run the fused kernel and compare with the prediction.
-    let plan = ExecutablePlan::from_launch(device.spec(), &launch)?;
-    let run = device.run_plan(&plan)?;
+    let run = device.run_launch(&launch)?;
     println!("fused predicted: {predicted}");
     println!(
         "fused actual:    {} (TC busy {:.0}%, CD busy {:.0}%)",
